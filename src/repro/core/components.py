@@ -3,8 +3,10 @@
 Iterative minimum-label propagation expressed with the DataFrame API:
 every node starts with its own id as label; each round every node takes
 the minimum label among itself and its neighbours, until no label
-changes. Lineage is cut every round with ``localCheckpoint`` so long
-chains do not blow up the planner.
+changes. A graph that needs more than ``max_iter`` rounds (a component
+of larger diameter) raises rather than returning unconverged labels.
+Lineage is cut every round with ``localCheckpoint`` so long chains do
+not blow up the planner.
 
 Node-id convention (used across the repo): the bipartite sides share
 one global id space with left nodes encoded as ``2 * v1`` and right
@@ -35,6 +37,10 @@ def connected_components(edges: DataFrame, max_iter: int = 50) -> DataFrame:
     Returns
     -------
     DataFrame with columns ``node`` (global id) and ``component``.
+
+    Raises
+    ------
+    RuntimeError if labels still change in round ``max_iter``.
     """
     und = edges.select("src", "dst").union(
         edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
@@ -67,5 +73,5 @@ def connected_components(edges: DataFrame, max_iter: int = 50) -> DataFrame:
         n_changed = new_labels.filter(F.col("changed")).limit(1).count()
         labels = new_labels.drop("changed")
         if n_changed == 0:
-            break
-    return labels
+            return labels
+    raise RuntimeError(f"connected components did not converge in {max_iter} rounds")

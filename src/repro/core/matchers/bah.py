@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, compact_ids, pairs_array
+from .base import EMPTY_PAIRS, compact_ids, pairs_array, prune
 
 
 def bah(
@@ -32,11 +32,10 @@ def bah(
     seed: int = 42,
 ) -> np.ndarray:
     """Random-search assignment over edges > t, seeded and bounded."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # contributions exist only for edges above threshold
-    if not keep.any():
+    # contributions exist only for edges above threshold
+    a, b, s = prune(v1, v2, w, lambda s: s > t)
+    if len(s) == 0:
         return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
 
     la, ua = compact_ids(a)
     lb, ub = compact_ids(b)
@@ -70,12 +69,10 @@ def bah(
         if new - old >= 0:  # Alg. 4 line 19 accepts neutral swaps
             partner[i], partner[j] = pj, pi
 
-    out = []
-    for i in range(n_big):
-        p = partner[i]
-        if p >= 0 and d[i, p] > 0:
-            if swap_sides:
-                out.append((int(ua[p]), int(ub[i])))
-            else:
-                out.append((int(ua[i]), int(ub[p])))
-    return pairs_array(out)
+    big_i = np.flatnonzero(partner >= 0)
+    small_i = partner[big_i]
+    kept = d[big_i, small_i] > 0
+    big_i, small_i = big_i[kept], small_i[kept]
+    if swap_sides:
+        return pairs_array(ua[small_i], ub[big_i])
+    return pairs_array(ua[big_i], ub[small_i])

@@ -10,35 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import greedy_scan, pairs_array, prune
 
 
 def bmc(v1, v2, w, t: float, *, basis: str = "left") -> np.ndarray:
     """Greedy best-available match per basis-collection node."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 5 line 5: edges in desc sim > t
-    if not keep.any():
-        return EMPTY_PAIRS
-    if basis == "right":
-        a, b, s = v2[keep], v1[keep], w[keep]
-    elif basis == "left":
-        a, b, s = v1[keep], v2[keep], w[keep]
-    else:
+    if basis not in ("left", "right"):
         raise ValueError(f"basis must be 'left' or 'right', got {basis!r}")
-    # Edges grouped by basis node (asc), best-first within each group.
-    base = desc_order(a, b, s)
-    order = base[np.argsort(a[base], kind="stable")]
-    matched_other: set[int] = set()
-    out = []
-    current = None
-    done = False
-    for i in order:
-        x, y = int(a[i]), int(b[i])
-        if x != current:
-            current, done = x, False
-        if done or y in matched_other:
-            continue
-        out.append((x, y) if basis == "left" else (y, x))
-        matched_other.add(y)
-        done = True
-    return pairs_array(out)
+    a, b, s = prune(v1, v2, w, lambda s: s > t)  # Alg. 5 line 5: sim > t
+    idx, _ = greedy_scan(a, b, s) if basis == "left" else greedy_scan(b, a, s)
+    return pairs_array(a[idx], b[idx])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import desc_order, pairs_array, prune
 
 
 def _best_edge_per_group(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -24,18 +24,8 @@ def _best_edge_per_group(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
 
 def exc(v1, v2, w, t: float) -> np.ndarray:
     """Match pairs that are each other's single best candidate."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 6 line 6: strictly greater
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
-    # Stable desc-weight order with the canonical tie-break, then a
-    # stable sort by group key keeps the best edge first in each group.
-    base = desc_order(a, b, s)
-    by_left = base[np.argsort(a[base], kind="stable")]
-    by_right = base[np.argsort(b[base], kind="stable")]
-    best_l = _best_edge_per_group(a, by_left)
-    best_r = _best_edge_per_group(b, by_right)
+    a, b, s = prune(v1, v2, w, lambda s: s > t)  # Alg. 6 line 6: strictly greater
+    best_l = _best_edge_per_group(a, desc_order(a, b, s, by_a=True))
+    best_r = _best_edge_per_group(b, desc_order(b, a, s, by_a=True))
     mutual = np.intersect1d(best_l, best_r)
-    out = [(int(a[i]), int(b[i])) for i in mutual]
-    return pairs_array(out)
+    return pairs_array(a[mutual], b[mutual])

@@ -16,22 +16,18 @@ from collections import deque
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import desc_order, pairs_array, prune
 
 
 def krc(v1, v2, w, t: float) -> np.ndarray:
     """Proposal-based stable-marriage approximation over edges > t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
+    a, b, s = prune(v1, v2, w, lambda s: s > t)
     # Preference lists: per man, (woman, weight) in decreasing weight.
-    base = desc_order(a, b, s)
-    order = base[np.argsort(a[base], kind="stable")]
+    order = desc_order(a, b, s, by_a=True)
     prefs: dict[int, list[tuple[int, float]]] = {}
-    for i in order:
-        prefs.setdefault(int(a[i]), []).append((int(b[i]), float(s[i])))
+    men, women, sims = a[order].tolist(), b[order].tolist(), s[order].tolist()
+    for m, woman, sim in zip(men, women, sims):
+        prefs.setdefault(m, []).append((woman, sim))
 
     free = deque(sorted(prefs))  # insertion order = ascending man id
     cursor = {m: 0 for m in prefs}  # next preference to propose to
@@ -60,5 +56,4 @@ def krc(v1, v2, w, t: float) -> np.ndarray:
             cursor[m] = 0  # recoverInitialQueue
             free.append(m)
 
-    out = [(m, woman) for woman, m in fiance.items()]
-    return pairs_array(out)
+    return pairs_array(list(fiance.values()), list(fiance))

@@ -4,8 +4,9 @@ Two greedy passes over the similarity graph (Kurtzberg's Row-Column
 Scan for the assignment problem): pass 1 assigns, for each left node
 in ascending id order, the most similar still-unassigned right node;
 pass 2 does the symmetric scan from the right side. The pass with the
-larger total assigned weight wins, and pairs below the similarity
-threshold t are then discarded (Alg. 3 lines 29-36).
+larger total assigned weight wins (the row pass on equal totals), and
+pairs below the similarity threshold t are then discarded (Alg. 3
+lines 29-36).
 
 Per JedAI practice the scans consider the edges present in the graph
 (weight > 0) rather than a conceptual complete bipartite graph; a node
@@ -16,46 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
-
-
-def _greedy_pass(a: np.ndarray, b: np.ndarray, s: np.ndarray):
-    """One row scan: per ``a`` node (asc id), best unassigned ``b`` node.
-
-    Returns (pairs list of (a, b, sim), total weight).
-    """
-    base = desc_order(a, b, s)
-    order = base[np.argsort(a[base], kind="stable")]
-    assigned_b: set[int] = set()
-    pairs: list[tuple[int, int, float]] = []
-    total = 0.0
-    current = None
-    done = False
-    for i in order:
-        x, y = int(a[i]), int(b[i])
-        if x != current:
-            current, done = x, False
-        if done or y in assigned_b:
-            continue
-        pairs.append((x, y, float(s[i])))
-        assigned_b.add(y)
-        total += float(s[i])
-        done = True
-    return pairs, total
+from .base import greedy_scan, pairs_array, prune
 
 
 def rca(v1, v2, w, t: float) -> np.ndarray:
     """Best of the row scan and the column scan, thresholded at t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > 0  # assignment passes see all positive-weight edges
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
-    pairs1, d1 = _greedy_pass(a, b, s)
-    pairs2, d2 = _greedy_pass(b, a, s)
-    if d1 >= d2:
-        chosen = pairs1
-    else:
-        chosen = [(y, x, sim) for (x, y, sim) in pairs2]
-    out = [(x, y) for (x, y, sim) in chosen if sim >= t]
-    return pairs_array(out)
+    a, b, s = prune(v1, v2, w, lambda s: s > 0)  # the passes ignore t
+    rows, d1 = greedy_scan(a, b, s)
+    cols, d2 = greedy_scan(b, a, s)
+    idx = rows if d1 >= d2 else cols
+    idx = idx[s[idx] >= t]
+    return pairs_array(a[idx], b[idx])

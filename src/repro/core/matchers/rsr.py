@@ -16,16 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import pairs_array, prune
 
 
 def rsr(v1, v2, w, t: float) -> np.ndarray:
     """Sequential rippling over edges with weight > t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 1 line 11: sim > t
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
+    a, b, s = prune(v1, v2, w, lambda s: s > t)  # Alg. 1 line 11: sim > t
     # Disjoint global node space (left even, right odd) so both sides
     # share the data structures below.
     ga, gb = a * 2, b * 2 + 1
@@ -83,11 +79,12 @@ def rsr(v1, v2, w, t: float) -> np.ndarray:
                 partition[best].add(vk)
                 center_of[vk] = best
 
-    out = []
+    out_l, out_r = [], []
     for c, members in partition.items():
         if len(members) == 2:
             left = [v for v in members if v % 2 == 0]
             right = [v for v in members if v % 2 == 1]
             if len(left) == 1 and len(right) == 1:
-                out.append((int(left[0] // 2), int(right[0] // 2)))
-    return pairs_array(out)
+                out_l.append(left[0] // 2)
+                out_r.append(right[0] // 2)
+    return pairs_array(out_l, out_r)

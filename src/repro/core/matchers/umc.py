@@ -10,24 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import desc_order, pairs_array, prune
 
 
 def umc(v1, v2, w, t: float) -> np.ndarray:
     """Greedy max-weight 1-1 matching over edges with weight > t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 8 line 6: strictly greater
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
+    a, b, s = prune(v1, v2, w, lambda s: s > t)  # Alg. 8 line 6: strictly greater
     order = desc_order(a, b, s)
-    matched_l: set[int] = set()
+    partner: dict[int, int] = {}  # left -> right
     matched_r: set[int] = set()
-    out = []
-    for i in order:
-        x, y = int(a[i]), int(b[i])
-        if x not in matched_l and y not in matched_r:
-            out.append((x, y))
-            matched_l.add(x)
+    for x, y in zip(a[order].tolist(), b[order].tolist()):
+        if x not in partner and y not in matched_r:
+            partner[x] = y
             matched_r.add(y)
-    return pairs_array(out)
+    return pairs_array(list(partner), list(partner.values()))

@@ -6,19 +6,24 @@
 
 Execution strategy
 ------------------
-Every algorithm except BAH decomposes over connected components of the
-similarity graph: matching decisions never cross components, and within
-a component the algorithm's global processing order restricted to that
-component is preserved. So the transformation (i) computes connected
-components distributedly (``core.components``), (ii) groups edges by
-component, and (iii) runs the exact reference matcher per component via
-``applyInPandas``. BAH performs a *global* random search, so it runs as
-a single group (documented limitation; the paper's BAH is inherently
+CNC, RSR, BMC, EXC, KRC and UMC decompose over connected components of
+the similarity graph: matching decisions never cross components, and
+within a component the algorithm's global processing order restricted
+to that component is preserved. For them the transformation (i)
+computes connected components distributedly (``core.components``),
+(ii) groups edges by component, and (iii) runs the exact reference
+matcher per component via ``applyInPandas``. Two algorithms do not
+decompose and run as a single group over the whole graph: RCA keeps the
+row or the column pass by comparing whole-graph weight totals, and BAH
+performs a global random search (the paper's BAH is inherently
 sequential/stochastic anyway).
 
 Natively-dataflow implementations (no per-group Python kernels) are
-also provided for CNC, EXC and UMC; ``tests/test_spark_match.py``
-asserts they agree with the reference path.
+also provided: CNC as a degree test (a pruned ``(v1, v2)`` pair whose
+endpoints each have one distinct neighbour), EXC as mutual-best window
+ranks and UMC as iterated locally-dominant edges;
+``tests/test_spark_match.py`` asserts they agree with the reference
+matchers.
 """
 from __future__ import annotations
 
@@ -30,6 +35,9 @@ from .components import connected_components, encode_global
 from .matchers import ALGORITHMS
 
 _PAIR_SCHEMA = "v1 long, v2 long"
+
+#: Algorithms whose output depends on the whole graph, not per component.
+_GLOBAL = {"RCA", "BAH"}
 
 
 def match_edges(edges: DataFrame, algorithm: str, t: float, **params) -> DataFrame:
@@ -47,7 +55,7 @@ def match_edges(edges: DataFrame, algorithm: str, t: float, **params) -> DataFra
         raise ValueError(f"unknown algorithm {algorithm!r}")
     matcher = ALGORITHMS[algorithm]
 
-    if algorithm == "BAH":
+    if algorithm in _GLOBAL:
         keyed = edges.withColumn("component", F.lit(0))
     else:
         enc = encode_global(edges)
@@ -64,19 +72,14 @@ def match_edges(edges: DataFrame, algorithm: str, t: float, **params) -> DataFra
 
 
 def cnc_native(edges: DataFrame, t: float) -> DataFrame:
-    """CNC without Python kernels: prune, components, keep 2-node ones."""
-    pruned = edges.filter(F.col("w") >= t)
-    enc = encode_global(pruned)
-    labels = connected_components(enc)
-    sizes = labels.groupBy("component").agg(F.count("*").alias("n"))
-    two = labels.join(sizes.filter("n = 2"), on="component").select(
-        "node", "component"
-    )
-    return (
-        enc.join(two.withColumnRenamed("node", "src"), on="src")
-        .select("v1", "v2")
-        .distinct()
-    )
+    """CNC without Python kernels: distinct pruned pairs whose endpoints
+    each have one distinct neighbour (exactly the 2-node components)."""
+    pairs = edges.filter(F.col("w") >= t).select("v1", "v2").distinct()
+    out = pairs
+    for side in ("v1", "v2"):
+        once = pairs.groupBy(side).count().filter("count = 1").select(side)
+        out = out.join(once, on=side, how="left_semi")
+    return out.select("v1", "v2")
 
 
 def _rank_one(col_part: str, edges: DataFrame) -> DataFrame:
@@ -107,14 +110,17 @@ def umc_native(edges: DataFrame, t: float, max_iter: int = 60) -> DataFrame:
     total order weight desc, v1 asc, v2 asc) is exactly the edge greedy
     UMC would pick next among the remaining ones, so repeatedly taking
     all locally-dominant edges and removing their endpoints reproduces
-    the sequential greedy matching exactly.
+    the sequential greedy matching exactly. Raises ``RuntimeError`` if
+    edges remain after ``max_iter`` rounds.
     """
     remaining = edges.filter(F.col("w") > t).localCheckpoint()
     spark = edges.sparkSession
-    matched = spark.createDataFrame([], schema="v1 long, v2 long")
-    for _ in range(max_iter):
-        if remaining.isEmpty():
-            break
+    matched = spark.createDataFrame([], schema=_PAIR_SCHEMA)
+    rounds = 0
+    while not remaining.isEmpty():
+        if rounds == max_iter:
+            raise RuntimeError(f"umc_native: edges remain after {max_iter} rounds")
+        rounds += 1
         dominant = (
             _rank_one("v1", remaining)
             .join(_rank_one("v2", remaining), on=["v1", "v2", "w"])

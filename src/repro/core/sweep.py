@@ -64,40 +64,27 @@ def sweep_graph(
     rows = []
     for algo in algorithms:
         matcher = ALGORITHMS[algo]
-        if algo == "BMC":
-            # try both bases, retain the best (paper Sec. 3)
-            candidates = []
-            for basis in ("left", "right"):
-                t_star, prf = _best_over_thresholds(
-                    lambda t, _b=basis: matcher(v1, v2, w, t, basis=_b),
-                    truth,
-                    thresholds,
-                )
-                candidates.append((prf.f1, basis, t_star, prf))
-            _, basis, t_star, prf = max(candidates, key=lambda c: c[0])
-            params = {"basis": basis}
-            timed = lambda: matcher(v1, v2, w, t_star, basis=basis)  # noqa: E731
+        if algo == "BMC":  # try both bases, retain the best (paper Sec. 3)
+            candidates = [{"basis": "left"}, {"basis": "right"}]
         elif algo == "BAH":
-            params = {
-                "max_moves": bah_max_moves,
-                "max_seconds": bah_max_seconds,
-                "seed": seed,
-            }
+            candidates = [
+                {"max_moves": bah_max_moves, "max_seconds": bah_max_seconds, "seed": seed}
+            ]
+        else:
+            candidates = [{}]
+        best = None  # (params, t*, prf); the first candidate wins ties
+        for params in candidates:
             t_star, prf = _best_over_thresholds(
                 lambda t: matcher(v1, v2, w, t, **params), truth, thresholds
             )
-            timed = lambda: matcher(v1, v2, w, t_star, **params)  # noqa: E731
-        else:
-            params = {}
-            t_star, prf = _best_over_thresholds(
-                lambda t: matcher(v1, v2, w, t), truth, thresholds
-            )
-            timed = lambda: matcher(v1, v2, w, t_star)  # noqa: E731
+            if best is None or prf.f1 > best[2].f1:
+                best = (params, t_star, prf)
+        params, t_star, prf = best
 
         elapsed = []
         for _ in range(max(1, timing_reps)):
             t0 = time.perf_counter()
-            timed()
+            matcher(v1, v2, w, t_star, **params)
             elapsed.append((time.perf_counter() - t0) * 1000.0)
         rows.append(
             {

@@ -23,11 +23,11 @@ def uf_reference(edges: list[tuple[int, int]]) -> dict[int, int]:
     return {n: find(n) for n in parent}
 
 
-def run_cc(spark, edges: list[tuple[int, int]]) -> dict[int, int]:
+def run_cc(spark, edges: list[tuple[int, int]], **kw) -> dict[int, int]:
     df = spark.createDataFrame(
         pd.DataFrame({"src": [a for a, _ in edges], "dst": [b for _, b in edges]})
     )
-    labels = connected_components(df).toPandas()
+    labels = connected_components(df, **kw).toPandas()
     return dict(zip(labels["node"], labels["component"]))
 
 
@@ -64,6 +64,12 @@ class TestConnectedComponents:
     def test_component_is_min_node_id(self, spark):
         got = run_cc(spark, [(5, 9), (9, 3)])
         assert got == {5: 3, 9: 3, 3: 3}
+
+    def test_raises_when_not_converged(self, spark):
+        # label 0 needs 6 rounds to reach node 6 on this 6-edge path
+        path = [(i, i + 1) for i in range(6)]
+        with pytest.raises(RuntimeError, match="did not converge"):
+            run_cc(spark, path, max_iter=2)
 
 
 class TestEncodeGlobal:

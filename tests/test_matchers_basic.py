@@ -209,6 +209,14 @@ class TestRCA:
         out = rca(np.array([1]), np.array([1]), np.array([0.5]), 0.5)
         assert pairs(out) == {(1, 1)}
 
+    def test_equal_totals_keep_row_pass(self):
+        # row pass: A1->B2 (0.75), A3->B1 (0.25) = 1.0
+        # col pass: B1->A1 (0.5), B2->A3 (0.5) = 1.0; d1 >= d2 keeps rows
+        v1 = np.array([1, 1, 3, 3])
+        v2 = np.array([1, 2, 1, 2])
+        w = np.array([0.5, 0.75, 0.25, 0.5])
+        assert pairs(rca(v1, v2, w, 0.0)) == {(1, 2), (3, 1)}
+
 
 class TestBAH:
     def test_seed_determinism(self):

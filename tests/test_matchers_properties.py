@@ -1,7 +1,8 @@
 """Hypothesis property tests: every matcher emits a valid 1-1 matching
 over existing edges; algorithm-specific invariants (UMC = sequential
-greedy, EXC subset of mutual-best, CNC isolated edges, RCA/BAH at
-least threshold-weight pairs)."""
+greedy, EXC subset of mutual-best, CNC isolated edges, matched pairs
+meet each algorithm's threshold rule). The structural properties also
+run on graphs with tied weights and repeated (v1, v2) edges."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,29 +12,48 @@ from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS, cnc, exc, umc
 
 
 @st.composite
-def bipartite_graphs(draw):
-    """Random bipartite edge lists with distinct weights."""
+def bipartite_graphs(draw, ties: bool = False):
+    """Random bipartite edge lists with distinct weights.
+
+    With ``ties``, (v1, v2) pairs may repeat and weights come from a few
+    values, some equal to the drawn threshold.
+    """
     n_left = draw(st.integers(1, 12))
     n_right = draw(st.integers(1, 12))
     possible = [(a, b) for a in range(n_left) for b in range(n_right)]
-    k = draw(st.integers(1, min(40, len(possible))))
+    k = draw(st.integers(1, 40 if ties else min(40, len(possible))))
     idx = draw(
         st.lists(
-            st.integers(0, len(possible) - 1), min_size=k, max_size=k, unique=True
+            st.integers(0, len(possible) - 1), min_size=k, max_size=k, unique=not ties
         )
     )
     edges = [possible[i] for i in idx]
-    # distinct weights make greedy equivalences exact
-    ws = draw(
-        st.lists(
-            st.integers(1, 10_000), min_size=k, max_size=k, unique=True
-        )
-    )
     v1 = np.array([a for a, _ in edges], dtype=np.int64)
     v2 = np.array([b for _, b in edges], dtype=np.int64)
-    w = np.array(ws, dtype=np.float64) / 10_000.0
+    if ties:
+        ws = draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.9]), min_size=k, max_size=k))
+        w = np.array(ws, dtype=np.float64)
+    else:
+        # distinct weights make greedy equivalences exact
+        ws = draw(
+            st.lists(
+                st.integers(1, 10_000), min_size=k, max_size=k, unique=True
+            )
+        )
+        w = np.array(ws, dtype=np.float64) / 10_000.0
     t = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7]))
     return v1, v2, w, t
+
+
+#: Distinct-weight graphs and tied-weight graphs with repeated edges.
+any_graphs = st.one_of(bipartite_graphs(), bipartite_graphs(ties=True))
+
+
+def first_of_each_pair(v1, v2, w):
+    """Drop repeated (v1, v2) edges, keeping each pair's first one."""
+    _, first = np.unique(np.column_stack((v1, v2)), axis=0, return_index=True)
+    first.sort()
+    return v1[first], v2[first], w[first]
 
 
 def greedy_reference(v1, v2, w, t):
@@ -51,10 +71,12 @@ def greedy_reference(v1, v2, w, t):
 
 
 @pytest.mark.parametrize("algo", ALGORITHM_ORDER)
-@given(g=bipartite_graphs())
+@given(g=any_graphs)
 @settings(max_examples=30, deadline=None)
 def test_valid_matching_over_graph_edges(algo, g):
     v1, v2, w, t = g
+    if algo == "BAH":  # BAH assumes (v1, v2) is a key
+        v1, v2, w = first_of_each_pair(v1, v2, w)
     out = ALGORITHMS[algo](v1, v2, w, t)
     got = {(int(a), int(b)) for a, b in out}
     edges = set(zip(v1.tolist(), v2.tolist()))
@@ -63,7 +85,7 @@ def test_valid_matching_over_graph_edges(algo, g):
     assert len({b for _, b in got}) == len(got), "right node reused"
 
 
-@given(g=bipartite_graphs())
+@given(g=any_graphs)
 @settings(max_examples=60, deadline=None)
 def test_umc_equals_sequential_greedy(g):
     v1, v2, w, t = g
@@ -90,11 +112,12 @@ def test_exc_pairs_are_mutual_best(g):
         assert best_l[a] == b and best_r[b] == a
 
 
-@given(g=bipartite_graphs())
+@given(g=any_graphs)
 @settings(max_examples=40, deadline=None)
 def test_cnc_pairs_are_isolated_edges(g):
     v1, v2, w, t = g
-    kept = [(int(a), int(b)) for a, b, s in zip(v1, v2, w) if s >= t]
+    # distinct pairs: a repeated edge is still a 2-node component
+    kept = {(int(a), int(b)) for a, b, s in zip(v1, v2, w) if s >= t}
     got = {(int(a), int(b)) for a, b in cnc(v1, v2, w, t)}
     deg_l, deg_r = {}, {}
     for a, b in kept:
@@ -109,15 +132,18 @@ def test_cnc_pairs_are_isolated_edges(g):
 
 
 @pytest.mark.parametrize("algo", ["RCA", "KRC", "BMC", "UMC", "EXC"])
-@given(g=bipartite_graphs())
+@given(g=any_graphs)
 @settings(max_examples=25, deadline=None)
 def test_matched_weights_meet_threshold(algo, g):
     v1, v2, w, t = g
-    lut = {(int(a), int(b)): s for a, b, s in zip(v1, v2, w)}
+    heaviest: dict[tuple[int, int], float] = {}  # over repeated edges
+    for a, b, s in zip(v1.tolist(), v2.tolist(), w.tolist()):
+        heaviest[(a, b)] = max(s, heaviest.get((a, b), s))
     out = ALGORITHMS[algo](v1, v2, w, t)
     for a, b in out:
         # RCA keeps >= t (Alg. 3); the others are strict
-        assert lut[(int(a), int(b))] >= t
+        s = heaviest[(int(a), int(b))]
+        assert s >= t if algo == "RCA" else s > t
 
 
 @given(g=bipartite_graphs())

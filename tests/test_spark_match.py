@@ -42,6 +42,18 @@ def test_distributed_equals_reference(spark, algo):
     assert got == expected
 
 
+def test_rca_runs_as_one_group(spark):
+    """RCA keeps the pass with the larger whole-graph total, so it does
+    not decompose: per component, {0} x {1, 2} would keep its row pass
+    and match (0, 2) in place of (0, 1)."""
+    v1 = np.array([0, 0, 10, 10, 12], dtype=np.int64)
+    v2 = np.array([1, 2, 10, 11, 11], dtype=np.int64)
+    w = np.array([0.55, 0.95, 0.45, 0.75, 0.95])
+    expected = {(0, 1), (10, 10), (12, 11)}
+    assert {(int(a), int(b)) for a, b in ALGORITHMS["RCA"](v1, v2, w, 0.0)} == expected
+    assert collect_pairs(match_edges(to_df(spark, v1, v2, w), "RCA", 0.0)) == expected
+
+
 def test_unknown_algorithm_rejected(spark):
     v1, v2, w = random_graph(0)
     with pytest.raises(ValueError):
@@ -54,6 +66,19 @@ def test_cnc_native_equals_reference(spark, seed):
     expected = {(int(a), int(b)) for a, b in ALGORITHMS["CNC"](v1, v2, w, 0.5)}
     got = collect_pairs(cnc_native(to_df(spark, v1, v2, w), 0.5))
     assert got == expected
+
+
+def test_cnc_native_chain_star_duplicate(spark):
+    # chain A0-B0-A1-B1, star A2-{B2,B3,B4}, A3-B5 twice, A4-B6 at w == t
+    # (its 0.2 edge to B7 is pruned), A5-B8 below t
+    v1 = np.array([0, 1, 1, 2, 2, 2, 3, 3, 4, 4, 5], dtype=np.int64)
+    v2 = np.array([0, 0, 1, 2, 3, 4, 5, 5, 6, 7, 8], dtype=np.int64)
+    w = np.array([0.9, 0.8, 0.7, 0.9, 0.6, 0.5, 0.9, 0.7, 0.5, 0.2, 0.4])
+    expected = {(3, 5), (4, 6)}
+    assert {(int(a), int(b)) for a, b in ALGORITHMS["CNC"](v1, v2, w, 0.5)} == expected
+    got = cnc_native(to_df(spark, v1, v2, w), 0.5)
+    assert got.columns == ["v1", "v2"]
+    assert sorted(map(tuple, got.collect())) == sorted(expected)
 
 
 @pytest.mark.parametrize("seed", [4, 5, 6])
@@ -71,6 +96,19 @@ def test_umc_native_equals_sequential_greedy(spark, seed):
     expected = {(int(a), int(b)) for a, b in ALGORITHMS["UMC"](v1, v2, w, 0.1)}
     got = collect_pairs(umc_native(to_df(spark, v1, v2, w), 0.1))
     assert got == expected
+
+
+def test_umc_native_raises_when_rounds_run_out(spark):
+    # increasing weights along a path: one locally-dominant edge per
+    # round, from the heavy end, so this path needs 3 rounds
+    v1 = np.array([0, 1, 1, 2, 2, 3], dtype=np.int64)
+    v2 = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+    w = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+    df = to_df(spark, v1, v2, w)
+    with pytest.raises(RuntimeError, match="edges remain"):
+        umc_native(df, 0.0, max_iter=2)
+    expected = {(int(a), int(b)) for a, b in ALGORITHMS["UMC"](v1, v2, w, 0.0)}
+    assert collect_pairs(umc_native(df, 0.0, max_iter=3)) == expected
 
 
 def test_match_edges_empty_result(spark):
